@@ -49,6 +49,7 @@ call).  ``REPRO_TRACE=1`` renders them on exit.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
@@ -237,13 +238,24 @@ _SO_CACHE: Dict[str, ctypes._CFuncPtr] = {}
 _SO_LOCK = threading.RLock()
 
 _work_dir: List[str] = []
+# a forked child makes its own scratch directory: the parent removes
+# its one when it exits
+os.register_at_fork(after_in_child=_work_dir.clear)
 
 
 def _scratch_dir() -> str:
     with _SO_LOCK:
         if not _work_dir:
-            _work_dir.append(tempfile.mkdtemp(prefix="repro-native-"))
+            path = tempfile.mkdtemp(prefix="repro-native-")
+            atexit.register(_remove_scratch_dir, os.getpid(), path)
+            _work_dir.append(path)
         return _work_dir[0]
+
+
+def _remove_scratch_dir(owner_pid: int, path: str) -> None:
+    # forked children inherit the exit hook; only the creator removes
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 # -- in-process single-flight ------------------------------------------------

@@ -104,7 +104,12 @@ def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy
 
     The class system names instance variables by *statement* (``s$S2.i``);
     copies qualify variables by copy label (``S2[u0].i``), so the class
-    variables are renamed onto the copy labels first."""
+    variables are renamed onto the copy labels first.  Built once per
+    (class, copy pair) and kept on the source copy."""
+    key = (dep, dst_copy)
+    hit = src_copy.pair_polys.get(key)
+    if hit is not None:
+        return hit
     rename = {}
     for v in dep.system.variables():
         if v.startswith(SRC + dep.src.name + "."):
@@ -114,6 +119,7 @@ def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy
     sys_ = dep.system.rename(rename)
     sys_ = sys_.conjoin(_prefix_all(src_copy.relation(), SRC))
     sys_ = sys_.conjoin(_prefix_all(dst_copy.relation(), DST))
+    src_copy.pair_polys[key] = sys_
     return sys_
 
 

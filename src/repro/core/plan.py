@@ -317,20 +317,6 @@ class Plan:
 # Plan construction
 # ---------------------------------------------------------------------------
 
-def _clone_tracker(t: DeterminacyTracker) -> DeterminacyTracker:
-    c = object.__new__(DeterminacyTracker)
-    c.copy = t.copy
-    c.vars = t.vars
-    c.index = t.index
-    from repro.util.fractions_linalg import IncrementalRank
-
-    r = IncrementalRank(t._rank.width)
-    r._rows = list(t._rank._rows)
-    r._count = t._rank._count
-    c._rank = r
-    return c
-
-
 def _share_groups(members: Sequence[Tuple[SparseRef, str]],
                   share_sig: Dict[Tuple[str, int], Tuple]) -> List[List[Tuple[SparseRef, str]]]:
     """Group member (ref, axis) pairs that can share one enumeration: same
@@ -363,42 +349,12 @@ def build_plan(
     INSTR.count("plan.build_calls")
 
     copies = {c.label: c for c in space.copies}
-    trackers = {c.label: DeterminacyTracker(c) for c in space.copies}
+    trackers = {c.label: c.tracker() for c in space.copies}
     # sharing history per reference: tuple of group-leader ids, per step
     share_sig: Dict[Tuple[str, int], Tuple] = {}
     param_values = dict(param_values or {})
 
     dims = list(space.dims)
-
-    def guards_for(copy: StmtCopy) -> List[LinExpr]:
-        # only the loop-bound (domain) inequalities guard execution; axis
-        # ranges are guaranteed by the enumerations themselves and bounds
-        # annotations are promises about the stored structure
-        dom = copy.ctx.domain().rename({
-            copy.ctx.qualified(v): copy.qual(v) for v in copy.ctx.vars
-        })
-        return [c.expr for c in dom.inequalities()]
-
-    # numeric value ranges each copy's expressions can take (params
-    # substituted), for the totality checks
-    _range_cache: Dict[Tuple[str, LinExpr], Tuple] = {}
-
-    def expr_range(copy: StmtCopy, expr: LinExpr):
-        key = (copy.label, expr)
-        if key in _range_cache:
-            return _range_cache[key]
-        from repro.polyhedra.fm import bounds_of, is_feasible
-
-        subs = {p: LinExpr.constant(v) for p, v in param_values.items()}
-        sys_ = copy.relation().substitute(subs)
-        e = expr.substitute(subs)
-        if not is_feasible(sys_):
-            rng = (0, -1)  # empty instance set: trivially covered
-        else:
-            lo, hi = bounds_of(sys_, e)
-            rng = (lo, hi)
-        _range_cache[key] = rng
-        return rng
 
     def build(dim_idx: int, active: List[str],
               trackers: Dict[str, DeterminacyTracker],
@@ -406,8 +362,7 @@ def build_plan(
         if not active:
             return []
         if dim_idx >= len(dims):
-            return [ExecNode(copies[l], guards_for(copies[l]))
-                    for l in active]
+            return [ExecNode(copies[l], copies[l].guards()) for l in active]
 
         dim = dims[dim_idx]
         direction = order.directions.get(dim_idx)
@@ -433,14 +388,15 @@ def build_plan(
                 cluster_dims.append(jd)
                 consumed += 1
 
-        def subtrackers():
-            return {k: _clone_tracker(v) for k, v in trackers.items()}
+        def subtrackers(labels: List[str]) -> Dict[str, DeterminacyTracker]:
+            # a sub-build only reads the trackers of its own copies
+            return {l: trackers[l].clone() for l in labels}
 
         if members_at:
             node = _build_loop(
                 space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
                 members_at, copies, trackers, share_sig, subtrackers, build,
-                direction, expr_range,
+                direction, param_values,
             )
             return [node]
 
@@ -458,13 +414,13 @@ def build_plan(
                     f"fully determined for all copies"
                 )
             nodes: List[PlanNode] = []
-            tr_b = subtrackers()
+            tr_b = subtrackers(seg[BEFORE])
             nodes += build(dim_idx + 1, seg[BEFORE], tr_b, dict(share_sig))
-            tr_at = subtrackers()
+            tr_at = subtrackers(seg[AT])
             for l, ex in at_exprs:
                 tr_at[l].pin(ex)
             nodes += build(dim_idx + 1, seg[AT], tr_at, dict(share_sig))
-            tr_a = subtrackers()
+            tr_a = subtrackers(seg[AFTER])
             nodes += build(dim_idx + 1, seg[AFTER], tr_a, dict(share_sig))
             return nodes
 
@@ -472,14 +428,14 @@ def build_plan(
         lo, hi = _var_loop_bounds(undet, trackers, var_bounds)
         binds = [Bind(l, 0, ex) for l, ex in at_exprs]
         nodes = []
-        tr_b = subtrackers()
+        tr_b = subtrackers(seg[BEFORE])
         nodes += build(dim_idx + 1, seg[BEFORE], tr_b, dict(share_sig))
-        tr_at = subtrackers()
+        tr_at = subtrackers(seg[AT])
         for l, ex in at_exprs:
             tr_at[l].pin(ex)
         body = build(dim_idx + 1, seg[AT], tr_at, dict(share_sig))
         nodes.append(VarLoopNode(dim.name, lo, hi, direction == DEC, binds, body))
-        tr_a = subtrackers()
+        tr_a = subtrackers(seg[AFTER])
         nodes += build(dim_idx + 1, seg[AFTER], tr_a, dict(share_sig))
         return nodes
 
@@ -527,7 +483,7 @@ def _var_loop_bounds(
 
 def _build_loop(space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
                 members_at, copies, trackers, share_sig, subtrackers, build,
-                direction, expr_range):
+                direction, param_values):
     """Construct the LoopNode for a data dimension (cluster)."""
     from repro.formats.views import DECREASING, INCREASING, NOSEARCH
 
@@ -617,7 +573,7 @@ def _build_loop(space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
                         f"of {cluster_dims[b.axis_pos].name}; instances could "
                         f"be missed"
                     )
-                lo, hi = expr_range(copies[label], b.expr)
+                lo, hi = copies[label].value_range(b.expr, param_values)
                 if hi < lo:
                     continue  # empty instance set
                 if lo < total[0] or hi > total[1] - 1:
@@ -653,9 +609,9 @@ def _build_loop(space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
                 roles.append(RefRole(ref, SEARCH, rstep))
 
     # recurse
-    tr_b = subtrackers()
+    tr_b = subtrackers(seg[BEFORE])
     before = build(dim_idx + consumed, seg[BEFORE], tr_b, dict(share_sig))
-    tr_at = subtrackers()
+    tr_at = subtrackers(seg[AT])
     for b in binds:
         tr_at[b.copy_label].pin(b.expr)
     sig_at = dict(share_sig)
@@ -664,7 +620,7 @@ def _build_loop(space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
         for ref, axis in g:
             sig_at[ref.key] = sig_at.get(ref.key, ()) + ((leader if g_i == 0 else id(ref)),)
     body = build(dim_idx + consumed, seg[AT], tr_at, sig_at)
-    tr_a = subtrackers()
+    tr_a = subtrackers(seg[AFTER])
     after = build(dim_idx + consumed, seg[AFTER], tr_a, dict(share_sig))
 
     return LoopNode([cd.name for cd in cluster_dims], method, roles, binds,

@@ -39,30 +39,45 @@ class DeterminacyTracker:
         self.index = {v: i for i, v in enumerate(self.vars)}
         # width: one column per variable plus the affine constant
         self._rank = IncrementalRank(len(self.vars) + 1)
+        # expression -> row, shared by every clone (same copy, same columns)
+        self._rows: Dict[LinExpr, List] = {}
         for con in copy.relation().equalities():
             self._rank.add(self._row(con.expr))
 
-    def _row(self, expr: LinExpr) -> List[Fraction]:
-        row = [Fraction(0)] * (len(self.vars) + 1)
-        for v in expr.variables():
-            if v in self.index:
-                row[self.index[v]] = expr.coeff(v)
-            # symbolic parameters act as constants: fold into the affine
-            # column (their value is fixed for a given run)
+    def _row(self, expr: LinExpr) -> List:
+        row = self._rows.get(expr)
+        if row is not None:
+            return row
+        row = [0] * (len(self.vars) + 1)
+        const = expr.const
+        for v, c in expr.coeffs.items():
+            i = self.index.get(v)
+            if i is None:
+                # symbolic parameters act as constants: fold into the
+                # affine column (their value is fixed for a given run)
+                const += c
             else:
-                row[-1] += expr.coeff(v)
-        row[-1] += expr.const
+                row[i] = c
+        row[-1] = const
+        # integral entries as ints: the rank test then skips Fractions
+        row = [x.numerator if x.denominator == 1 else x for x in
+               map(Fraction, row)]
+        self._rows[expr] = row
         return row
+
+    def clone(self) -> "DeterminacyTracker":
+        """An independent tracker with the same pinned values."""
+        c = object.__new__(DeterminacyTracker)
+        c.copy = self.copy
+        c.vars = self.vars
+        c.index = self.index
+        c._rows = self._rows
+        c._rank = self._rank.copy()
+        return c
 
     def is_determined(self, expr: LinExpr) -> bool:
         """Would pinning this expression add no information?"""
-        probe = IncrementalRank(self._rank.width)
-        # cheap copy: replay is avoided by asking the existing object —
-        # IncrementalRank.add mutates, so test on a clone of its rows
-        probe._rows = list(self._rank._rows)
-        probe._count = self._rank._count
-        dependent, _ = probe.add(self._row(expr))
-        return dependent
+        return self._rank.is_dependent(self._row(expr))
 
     def pin(self, expr: LinExpr) -> bool:
         """Record that the value of ``expr`` is known; returns True if this

@@ -108,22 +108,44 @@ class StmtCopy:
     Union-format reference.  Copies of the same statement share its
     dependence classes but get their own qualified variable namespace."""
 
-    __slots__ = ("ctx", "refs", "copy_tag")
+    __slots__ = ("ctx", "refs", "copy_tag", "label", "_relation", "_guards",
+                 "_ranges", "_tracker", "pair_polys")
 
     def __init__(self, ctx: StatementContext, refs: Sequence[SparseRef], copy_tag: str):
-        self.ctx = ctx
-        self.copy_tag = copy_tag  # "" or like "u0", "u0|u1" for multiple unions
+        self._init(ctx, copy_tag)
         self.refs = [
             SparseRef(r.access, r.fmt, r.path, self.label) for r in refs
         ]
 
+    def _init(self, ctx: StatementContext, copy_tag: str) -> None:
+        self.ctx = ctx
+        self.copy_tag = copy_tag  # "" or like "u0", "u0|u1" for multiple unions
+        self.label = ctx.name + (f"[{copy_tag}]" if copy_tag else "")
+        # memos: every search builds its copies fresh, and a copy's
+        # statement, references and formats never change, so each derived
+        # object is computed once and shared by all candidates
+        self._relation: Optional[System] = None
+        self._guards: Optional[Tuple[LinExpr, ...]] = None
+        self._ranges: Dict[Tuple, Tuple] = {}
+        self._tracker = None
+        #: pair polyhedra with this copy as source, keyed by (dependence
+        #: class, destination copy); filled by ``embedding.pair_polyhedron``
+        self.pair_polys: Dict[Tuple, System] = {}
+
+    # pickles (the disk compile cache) carry the copy without its memos,
+    # in the layout a slots object pickles to by default
+    def __getstate__(self):
+        return None, {"ctx": self.ctx, "refs": self.refs,
+                      "copy_tag": self.copy_tag}
+
+    def __setstate__(self, state):
+        _, slots = state
+        self._init(slots["ctx"], slots["copy_tag"])
+        self.refs = slots["refs"]
+
     @property
     def name(self) -> str:
         return self.ctx.name
-
-    @property
-    def label(self) -> str:
-        return self.name + (f"[{self.copy_tag}]" if self.copy_tag else "")
 
     def qual(self, var: str) -> str:
         """Copy-qualified name of a local loop variable."""
@@ -141,16 +163,56 @@ class StmtCopy:
             out.extend(ref.axis_vars())
         return out
 
+    def _domain(self) -> System:
+        return self.ctx.domain().rename({
+            self.ctx.qualified(v): self.qual(v) for v in self.ctx.vars
+        })
+
     def relation(self) -> System:
         """Domain constraints + every reference's relation, all over this
         copy's qualified variables."""
-        dom = self.ctx.domain().rename({
-            self.ctx.qualified(v): self.qual(v) for v in self.ctx.vars
-        })
-        sys_ = dom
-        for ref in self.refs:
-            sys_ = sys_.conjoin(ref.relation(self.qual_map()))
-        return sys_
+        if self._relation is None:
+            sys_ = self._domain()
+            for ref in self.refs:
+                sys_ = sys_.conjoin(ref.relation(self.qual_map()))
+            self._relation = sys_
+        return self._relation
+
+    def value_range(self, expr: LinExpr, param_values: Mapping[str, int]):
+        """``(lo, hi)``, the exact range of ``expr`` over this copy's
+        instances at the given sizes; ``(0, -1)`` when there are none."""
+        from repro.polyhedra.fm import bounds_of, is_feasible
+
+        params = tuple(sorted(param_values.items()))
+        key = (params, expr)
+        rng = self._ranges.get(key)
+        if rng is None:
+            subs = {p: LinExpr.constant(v) for p, v in params}
+            sys_ = self.relation().substitute(subs)
+            if not is_feasible(sys_):
+                rng = (0, -1)
+            else:
+                rng = bounds_of(sys_, expr.substitute(subs))
+            self._ranges[key] = rng
+        return rng
+
+    def guards(self) -> List[LinExpr]:
+        """The loop-bound inequalities (each ``expr >= 0``) that guard an
+        execution of this copy: axis ranges are guaranteed by the
+        enumerations themselves and bounds annotations are promises about
+        the stored structure, so only the domain is checked."""
+        if self._guards is None:
+            self._guards = tuple(c.expr for c in self._domain().inequalities())
+        return list(self._guards)
+
+    def tracker(self):
+        """A fresh :class:`~repro.core.redundancy.DeterminacyTracker` for
+        this copy, cloned from one seeded with the relation's equalities."""
+        from repro.core.redundancy import DeterminacyTracker
+
+        if self._tracker is None:
+            self._tracker = DeterminacyTracker(self)
+        return self._tracker.clone()
 
     def ref_by_ordinal(self, ref_id: int) -> Optional[SparseRef]:
         for r in self.refs:

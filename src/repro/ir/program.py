@@ -64,7 +64,7 @@ class StatementContext:
     machinery need to know about where the statement sits.
     """
 
-    __slots__ = ("stmt", "loops", "position")
+    __slots__ = ("stmt", "loops", "position", "_domain")
 
     def __init__(self, stmt: Statement, loops: Sequence[Loop], position: Sequence[int]):
         self.stmt = stmt
@@ -72,6 +72,23 @@ class StatementContext:
         # syntactic position: index within the body at each nesting depth,
         # including the top level; used for program-order comparisons.
         self.position = tuple(position)
+        # the domain depends only on the loops, fixed at construction;
+        # threads compiling one program may race to fill it with equal
+        # values, which is harmless
+        self._domain: Optional[System] = None
+
+    # pickles carry the context without its memo, in the layout a slots
+    # object pickles to by default
+    def __getstate__(self):
+        return None, {"stmt": self.stmt, "loops": self.loops,
+                      "position": self.position}
+
+    def __setstate__(self, state):
+        _, slots = state
+        self.stmt = slots["stmt"]
+        self.loops = slots["loops"]
+        self.position = slots["position"]
+        self._domain = None
 
     @property
     def name(self) -> str:
@@ -93,10 +110,12 @@ class StatementContext:
     def qualify_map(self) -> Dict[str, str]:
         return {v: self.qualified(v) for v in self.vars}
 
-    def domain(self, params_in_scope: Sequence[str] = ()) -> System:
+    def domain(self) -> System:
         """Iteration-domain polyhedron over qualified variable names.
         Parameters keep their unqualified names so two statements' domains
         share them."""
+        if self._domain is not None:
+            return self._domain
         qmap = self.qualify_map()
         cons: List[Constraint] = []
         for l in self.loops:
@@ -105,7 +124,8 @@ class StatementContext:
             hi = l.upper.rename(qmap).lin
             cons.append(Constraint(v - lo, GE))          # v >= lo
             cons.append(Constraint(hi - v - 1, GE))      # v <= hi - 1
-        return System(cons)
+        self._domain = System(cons)
+        return self._domain
 
     def common_depth(self, other: "StatementContext") -> int:
         """Number of loops shared (as syntax tree objects) with ``other``."""

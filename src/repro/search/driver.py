@@ -105,6 +105,8 @@ def search(
         stats = SearchStats()
         lowered: List[Tuple[float, Candidate, Plan]] = []
         pair_cache: Dict = {}
+        # candidates of one path choice share their copies
+        var_bounds: Dict[Tuple[StmtCopy, ...], Dict] = {}
 
         for cand in generate_candidates(program, bindings, deps, max_orders=max_orders):
             stats.generated += 1
@@ -115,7 +117,10 @@ def search(
                 continue
             stats.legal += 1
             INSTR.count("search.candidates.legal")
-            bounds = copy_var_bounds(cand.space.copies)
+            copies = tuple(cand.space.copies)
+            bounds = var_bounds.get(copies)
+            if bounds is None:
+                bounds = var_bounds[copies] = copy_var_bounds(copies)
             try:
                 with INSTR.phase("search.lowering"):
                     plan = build_plan(cand.space, cand.emb, order, bounds,

@@ -5,13 +5,16 @@ exact: floating-point rank decisions would make "is this product-space
 dimension redundant?" (Figure 7 of the paper) and "is this embedding legal?"
 nondeterministic near ties.  Everything here therefore works on exact
 rationals.  Matrices are small (tens of rows/columns), so the cubic cost of
-fraction-exact Gaussian elimination is irrelevant.
+fraction-exact Gaussian elimination is irrelevant — except for
+:class:`IncrementalRank`, which the plan search calls thousands of times
+and which therefore reduces fraction-free integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
 
@@ -163,44 +166,85 @@ class IncrementalRank:
     ``add(row)`` returns ``(dependent, combination)`` where ``combination``
     maps *original* row indices to coefficients expressing the new row in
     terms of previously *independent* rows (empty dict for the zero row).
+
+    Rows are reduced fraction-free: every row is scaled to integers on
+    entry, elimination cross-multiplies, and each reduced row is divided by
+    the gcd of its entries, so no :class:`~fractions.Fraction` arithmetic
+    happens until a combination is reported.
     """
 
     def __init__(self, width: int):
         self.width = width
-        # reduced independent rows, paired with their combination over
-        # original independent-row indices
-        self._rows: List[Tuple[Row, dict]] = []
+        # reduced independent rows as (lead column, integer row, combo):
+        # row == sum_k combo[k] * original_k.  An immutable tuple that
+        # add() replaces, so copies share it.
+        self._rows: Tuple[Tuple[int, List[int], Dict[int, int]], ...] = ()
         self._count = 0
 
-    def add(self, row: Sequence) -> Tuple[bool, Optional[dict]]:
-        row = [_frac(x) for x in row]
+    def copy(self) -> "IncrementalRank":
+        """An independent tracker with the same rows seen so far."""
+        c = IncrementalRank(self.width)
+        c._rows = self._rows
+        c._count = self._count
+        return c
+
+    def _integer_row(self, row: Sequence) -> Tuple[List[int], int]:
+        """``(scale * row, scale)`` for the least positive integer scale
+        that makes every entry an integer."""
         if len(row) != self.width:
             raise ValueError("row width mismatch")
+        if all(type(x) is int for x in row):
+            return list(row), 1
+        vals = [x if type(x) is int else _frac(x) for x in row]
+        den = 1
+        for x in vals:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+        return [x * den if type(x) is int
+                else x.numerator * (den // x.denominator) for x in vals], den
+
+    def _reduce(self, work: List[int], combo: Optional[Dict[int, int]]
+                ) -> Tuple[List[int], Optional[Dict[int, int]]]:
+        """Eliminate every stored row's lead column from ``work``, keeping
+        ``combo`` (when given) in step: ``work == sum_k combo[k] *
+        original_k`` before and after."""
+        for lead, base, base_combo in self._rows:
+            w = work[lead]
+            if w == 0:
+                continue
+            b = base[lead]
+            g = gcd(w, b)
+            a, f = b // g, w // g
+            # a * work - f * base has a zero in the lead column
+            work = [a * x - f * y for x, y in zip(work, base)]
+            g = gcd(*work)
+            if combo is not None:
+                combo = {k: a * c for k, c in combo.items()}
+                for k, c in base_combo.items():
+                    combo[k] = combo.get(k, 0) - f * c
+                g = gcd(g, *combo.values())
+            if g > 1:
+                work = [x // g for x in work]
+                if combo is not None:
+                    combo = {k: c // g for k, c in combo.items()}
+        return work, combo
+
+    def is_dependent(self, row: Sequence) -> bool:
+        """Would ``add(row)`` report a dependent row?  Does not record it."""
+        work, _ = self._reduce(self._integer_row(row)[0], None)
+        return not any(work)
+
+    def add(self, row: Sequence) -> Tuple[bool, Optional[dict]]:
+        work, scale = self._integer_row(row)
         idx = self._count
         self._count += 1
-        work = list(row)
-        # combo over ORIGINAL row indices such that, at every step,
-        #   work == original_row - sum_k combo[k] * original_k
-        combo: dict = {}
-        for base, base_combo in self._rows:
-            lead = next((j for j, x in enumerate(base) if x != 0), None)
-            if lead is None:
-                continue
-            if work[lead] != 0:
-                f = work[lead] / base[lead]
-                work = [a - f * b for a, b in zip(work, base)]
-                # base == sum_k base_combo[k] * original_k
-                for k, c in base_combo.items():
-                    combo[k] = combo.get(k, Fraction(0)) + f * c
-        if all(x == 0 for x in work):
-            return True, {k: v for k, v in combo.items() if v != 0}
-        # independent: store reduced row with its expansion over originals:
-        #   work == original_idx - sum_k combo[k] * original_k
-        expansion = {idx: Fraction(1)}
-        for k, c in combo.items():
-            if c != 0:
-                expansion[k] = expansion.get(k, Fraction(0)) - c
-        self._rows.append((work, expansion))
+        work, combo = self._reduce(work, {idx: scale})
+        if not any(work):
+            # 0 == combo[idx] * original_idx + sum_k combo[k] * original_k
+            s = combo.pop(idx)
+            return True, {k: Fraction(-c, s) for k, c in combo.items() if c}
+        lead = next(j for j, x in enumerate(work) if x)
+        self._rows += ((lead, work, {k: c for k, c in combo.items() if c}),)
         return False, None
 
     @property

@@ -244,6 +244,25 @@ class TestDiskLayer:
         k({"A": A, "x": x, "y": y}, {"m": 8, "n": 6})
         np.testing.assert_allclose(y, A.to_dense() @ x)
 
+    def test_pickled_copies_drop_search_memos(self):
+        """Statement copies and contexts pickle without the memos a search
+        filled in (they are rebuilt on demand), so disk entries do not
+        grow with them and entries written before the memos existed load
+        into working objects."""
+        import pickle
+
+        from repro.core.spaces import StmtCopy
+        from repro.search import search
+
+        res = search(mvm(), {"A": _csr()}, None, {"m": 8, "n": 6})
+        copy = res.plan.space.copies[0]
+        pristine = StmtCopy(copy.ctx, copy.refs, copy.copy_tag)
+        assert pickle.dumps(copy) == pickle.dumps(pristine)
+        restored = pickle.loads(pickle.dumps(copy))
+        assert restored.relation().constraints == copy.relation().constraints
+        assert restored.guards() == copy.guards()
+        assert restored.ctx.domain().constraints == copy.ctx.domain().constraints
+
     def test_clear_compile_cache_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         A = _csr()

@@ -285,6 +285,27 @@ class TestCompileMany:
             kt({"A": f, "x": x, "y": yt}, {"m": N, "n": N})
             assert ys.tobytes() == yt.tobytes()
 
+    def test_threads_share_one_program(self, square):
+        """Workers search one ``Program`` object at once (MSR and CSR
+        bindings, more workers than cores, frequent thread switches), so
+        they share its statement contexts and the domains memoized on
+        them; the plans must equal serial compiles'."""
+        import sys
+
+        prog = ALL_KERNELS["mvm"]()
+        binds = [{"A": as_format(square, f)} for f in ("msr", "csr") * 2]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = compile_many([prog] * len(binds), binds,
+                                    max_workers=len(binds), cache="off")
+        finally:
+            sys.setswitchinterval(old)
+        assert threaded.ok
+        for k, b in zip(threaded.kernels, binds):
+            ref = compile_kernel(ALL_KERNELS["mvm"](), b, cache="off")
+            assert (k.cost, k.pseudocode()) == (ref.cost, ref.pseudocode())
+
 
 # ---------------------------------------------------------------------------
 # Native single-flight (needs a toolchain)

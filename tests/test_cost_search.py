@@ -119,3 +119,31 @@ class TestSearch:
         ref_paths = {r.path.path_id for c in k.plan.space.copies
                      for r in c.refs}
         assert ref_paths == {"flat"}
+
+
+class TestColdSearch:
+    """Per-search memos live on objects each search builds fresh (statement
+    copies, contexts of a fresh program), so once the process-wide FM and
+    pair memos are cleared a repeated search redoes exactly the same
+    work."""
+
+    @pytest.mark.parametrize("kernel,fmt", [("mvm", "msr"),
+                                            ("ts_lower", "jad")])
+    def test_repeat_search_does_the_same_work(self, kernel, fmt, lower_tri):
+        from repro.core.compiler import infer_param_values
+        from repro.core.embedding import clear_pair_memo
+        from repro.ir.kernels import ALL_KERNELS
+        from repro.polyhedra.fm import clear_memos
+
+        def cold():
+            clear_memos()
+            clear_pair_memo()
+            prog = ALL_KERNELS[kernel]()
+            bindings = {prog.matrices()[0]: as_format(lower_tri, fmt)}
+            st = search(prog, bindings, None,
+                        infer_param_values(prog, bindings)).stats
+            return st.fm_eliminations, (st.generated, st.legal, st.lowered)
+
+        first = cold()
+        assert first[0] > 0
+        assert cold() == first

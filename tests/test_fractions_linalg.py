@@ -193,3 +193,28 @@ def test_incremental_rank_matches_batch(rows):
         dep, _ = inc.add(r)
         seen.append(r)
         assert dep == (rank(FractionMatrix(seen)) == rank(FractionMatrix(seen[:-1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=4),
+                         min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_incremental_rank_rational_rows_and_combinations(rows):
+    """Rational rows: the verdicts match batch rank, ``is_dependent``
+    predicts ``add`` without recording, and every reported combination
+    rebuilds the row exactly from the earlier independent rows."""
+    inc = IncrementalRank(3)
+    seen = []
+    for r in rows:
+        predicted = inc.is_dependent(r)
+        assert inc.is_dependent(r) == predicted
+        dep, combo = inc.add(r)
+        seen.append(r)
+        assert dep == predicted
+        assert dep == (rank(FractionMatrix(seen))
+                       == rank(FractionMatrix(seen[:-1])))
+        if dep:
+            rebuilt = [sum((c * seen[k][j] for k, c in combo.items()),
+                           Fraction(0)) for j in range(3)]
+            assert rebuilt == [Fraction(x) for x in r]

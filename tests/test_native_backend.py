@@ -327,6 +327,47 @@ class TestArtifactCache:
         assert np.allclose(y, square @ x)
         be.reset_toolchain_cache()
 
+    def test_scratch_dir_removed_at_exit(self, tmp_path):
+        """A process that binds a kernel without the disk cache builds its
+        ``.so`` in a ``repro-native-*`` folder under TMPDIR; the folder is
+        gone once the process exits, and a forked child exiting first
+        leaves its parent's folder alone."""
+        import subprocess
+        import sys
+
+        if be.find_compiler() is None:
+            pytest.skip("no C compiler")
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH="src",
+                   REPRO_COMPILE_CACHE="off")
+        script = (
+            "import os, sys\n"
+            "from repro.core import backend as be, compile_kernel\n"
+            "from repro.formats import as_format\n"
+            "from repro.formats.generate import random_sparse\n"
+            "from repro.ir.kernels import ALL_KERNELS\n"
+            f"A = as_format(random_sparse({N}, {N}, density=0.35, "
+            "seed=42).to_dense(), 'csr')\n"
+            "k = compile_kernel(ALL_KERNELS['mvm'](), {'A': A}, "
+            "backend='c')\n"
+            "assert k.backend_used != 'python', k.fallback_reason\n"
+            "d = be._scratch_dir()\n"
+            "assert any(f.endswith('.so') for f in os.listdir(d))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "os.waitpid(pid, 0)\n"
+            "assert os.path.isdir(d), 'a forked child removed the folder'\n"
+            "print(d)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True,
+                             cwd=os.path.dirname(os.path.dirname(
+                                 os.path.abspath(__file__))))
+        scratch = out.stdout.strip()
+        assert os.path.dirname(scratch) == str(tmp_path)
+        assert not os.path.exists(scratch)
+        assert not list(tmp_path.glob("repro-native-*"))
+
     def test_memory_layer_hit(self, square):
         kc, _ = self._compile_c(square, "off")
         assert kc.backend_used != "python"
