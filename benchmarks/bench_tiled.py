@@ -149,7 +149,7 @@ def run_spmm(n, trials, rng):
 
 def run_spgemm(n, trials):
     """Native Gustavson SpGEMM vs the vectorized NumPy tier on a 2-D
-    Laplacian, byte-identity enforced on the canonical triples."""
+    Laplacian, byte-identity enforced on the CSR arrays."""
     from repro.blas import api as blas_api
     from repro.blas import spgemm_native
 
@@ -160,10 +160,10 @@ def run_spgemm(n, trials):
     except Exception as e:
         print(f"  spgemm: native tier unavailable ({e}) — skipped")
         return None
-    vec = blas_api.spgemm_triples(A, A, tier="vectorized")
-    for got, want, what in zip(native[:3], vec[:3],
-                               ("rows", "cols", "vals")):
-        if got.tobytes() != np.ascontiguousarray(want).tobytes():
+    vec = blas_api.spgemm(A, A, tier="vectorized")
+    for got, what in zip(native, ("rowptr", "colind", "values")):
+        want = np.ascontiguousarray(getattr(vec, what))
+        if got.tobytes() != want.tobytes():
             raise AssertionError(f"spgemm {what} not byte-identical")
 
     t_nat, t_vec = interleaved_medians(

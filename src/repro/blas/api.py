@@ -204,24 +204,28 @@ def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
 # SpGEMM: C = A B with both operands sparse.  Unlike every operation above,
 # the output's sparsity pattern is *computed*, not declared — the paper's
 # framework covers kernels whose output structure is given up front, so the
-# sparse×sparse product runs through a dedicated three-tier dispatch here:
+# sparse×sparse product runs through a dedicated tier dispatch here:
 #
-# 1. vectorized NumPy expand-sort-reduce for the CSR×CSR hot case (scipy-
-#    free, O(flops) work in array ops);
-# 2. the specialized two-pass row-wise kernel table (symbolic pass computes
+# 1. native-C Gustavson two-pass kernel (:mod:`repro.blas.spgemm_native`),
+#    the CSR×CSR default: symbolic pass counts each output row, numeric
+#    pass accumulates through a dense accumulator and emits each row's
+#    columns in order from a bitmap; its CSR arrays become the product
+#    without a COO round trip;
+# 2. vectorized NumPy expand-sort-reduce for CSR×CSR (scipy-free, O(flops)
+#    work in array ops) — the demotion when no toolchain is available,
+#    observable as ``spgemm.tier.native_fallbacks`` plus a
+#    NativeBackendWarning, and an explicit ``tier="vectorized"``;
+# 3. the specialized two-pass row-wise kernel table (symbolic pass computes
 #    the output row pointer, numeric pass fills colind/values through a
 #    dense or hash accumulator);
-# 3. generic enumeration over any format pair via ``iter_nonzeros`` + COO
-#    dedup into the ``_from_canonical_coo`` construction core;
-# 4. a native-C Gustavson two-pass kernel for CSR×CSR
-#    (:mod:`repro.blas.spgemm_native`) — requested with ``tier="native"``
-#    and falling back to the vectorized tier observably
-#    (``spgemm.tier.native_fallbacks`` + NativeBackendWarning) when no
-#    toolchain is available.
+# 4. generic enumeration over any format pair via ``iter_nonzeros`` + COO
+#    dedup into the ``_from_canonical_coo`` construction core.
 #
 # All tiers produce identical canonical output (sorted rows, sorted
 # columns within rows, duplicates summed, cancelled zeros kept) — byte-
-# for-byte on integer data, which the differential wall pins.
+# for-byte on integer data, which the differential wall pins; the native
+# and vectorized tiers sum each entry's products in the same order, so
+# they agree byte-for-byte on any data.
 # ---------------------------------------------------------------------------
 
 def _check_spgemm_operands(A, B) -> None:
@@ -233,6 +237,11 @@ def _check_spgemm_operands(A, B) -> None:
         raise ValueError(
             f"spgemm: inner dimensions do not conform: A is "
             f"{A.nrows}x{A.ncols}, B is {B.nrows}x{B.ncols}")
+
+
+def _spgemm_nmults(A: CsrMatrix, B: CsrMatrix) -> int:
+    """Intermediate-product count of CSR×CSR ``A B``."""
+    return int((B.rowptr[A.colind + 1] - B.rowptr[A.colind]).sum())
 
 
 def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
@@ -272,6 +281,42 @@ def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
     return rows, cols, vals, total
 
 
+def _spgemm_native_or_demote(A: CsrMatrix, B: CsrMatrix):
+    """CSR arrays ``(rowptr, colind, values)`` of ``A B`` from the native
+    tier, or None after the observable demotion (a missing or failing
+    toolchain: ``spgemm.tier.native_fallbacks`` plus a
+    :class:`~repro.core.backend.NativeBackendWarning`); the caller then
+    runs the vectorized tier."""
+    from repro.blas import spgemm_native
+
+    try:
+        out = spgemm_native.spgemm_csr_csr_native(A, B)
+    except Exception as e:
+        from repro.core.backend import native_fallback
+
+        INSTR.count("spgemm.tier.native_fallbacks")
+        native_fallback("toolchain", f"spgemm native tier: {e}")
+        return None
+    INSTR.count("spgemm.tier.native")
+    return out
+
+
+def _resolve_spgemm_tier(A, B, tier: Optional[str]) -> str:
+    """Check the operands and name the tier that serves them: the given
+    one, or for None the fastest applicable (native for CSR×CSR)."""
+    _check_spgemm_operands(A, B)
+    both_csr = type(A) is CsrMatrix and type(B) is CsrMatrix
+    if tier is None:
+        return "native" if both_csr else (
+            "specialized" if (A.format_name, B.format_name)
+            in specialized.SPGEMM else "generic")
+    if tier in ("native", "vectorized") and not both_csr:
+        raise ValueError(
+            f"spgemm: the {tier} tier needs CSR operands, got "
+            f"{A.format_name}x{B.format_name}")
+    return tier
+
+
 def spgemm_triples(A: SparseFormat, B: SparseFormat,
                    tier: Optional[str] = None):
     """The computed product structure of ``C = A B`` as canonical COO
@@ -282,41 +327,23 @@ def spgemm_triples(A: SparseFormat, B: SparseFormat,
     ``tier`` forces a specific implementation (``"native"`` /
     ``"vectorized"`` / ``"specialized"`` / ``"generic"``; the
     differential suite and the benchmark compare them); None picks the
-    fastest applicable.  The native tier needs CSR operands and a C
-    toolchain — with operands of another format it raises like the
-    vectorized tier, but a missing/failing toolchain falls back to the
-    vectorized tier *observably* (``spgemm.tier.native_fallbacks`` and a
+    fastest applicable — the native tier for CSR×CSR.  The native and
+    vectorized tiers need CSR operands and raise on any other format.
+    The native tier also needs a C toolchain: a missing/failing one
+    demotes it to the vectorized tier *observably*
+    (``spgemm.tier.native_fallbacks`` and a
     :class:`~repro.core.backend.NativeBackendWarning`), mirroring the
     compiled-kernel fallback contract."""
-    _check_spgemm_operands(A, B)
-    both_csr = type(A) is CsrMatrix and type(B) is CsrMatrix
-    if tier is None:
-        tier = "vectorized" if both_csr else (
-            "specialized" if (A.format_name, B.format_name)
-            in specialized.SPGEMM else "generic")
+    tier = _resolve_spgemm_tier(A, B, tier)
     if tier == "native":
-        if not both_csr:
-            raise ValueError(
-                f"spgemm: the native tier needs CSR operands, got "
-                f"{A.format_name}x{B.format_name}")
-        from repro.blas import spgemm_native
-
-        try:
-            out = spgemm_native.spgemm_csr_csr_native(A, B)
-            INSTR.count("spgemm.tier.native")
-            return out
-        except Exception as e:
-            from repro.core.backend import native_fallback
-
-            INSTR.count("spgemm.tier.native_fallbacks")
-            native_fallback("toolchain", f"spgemm native tier: {e}")
-            INSTR.count("spgemm.tier.vectorized")
-            return _spgemm_csr_csr_vectorized(A, B)
+        parts = _spgemm_native_or_demote(A, B)
+        if parts is not None:
+            rowptr, cols, vals = parts
+            rows = np.repeat(np.arange(A.nrows, dtype=np.int64),
+                             np.diff(rowptr))
+            return rows, cols, vals, _spgemm_nmults(A, B)
+        tier = "vectorized"
     if tier == "vectorized":
-        if not both_csr:
-            raise ValueError(
-                f"spgemm: the vectorized tier needs CSR operands, got "
-                f"{A.format_name}x{B.format_name}")
         INSTR.count("spgemm.tier.vectorized")
         return _spgemm_csr_csr_vectorized(A, B)
     if tier == "specialized":
@@ -330,7 +357,7 @@ def spgemm_triples(A: SparseFormat, B: SparseFormat,
             C = fn(A, B)
         rows = np.repeat(np.arange(C.nrows, dtype=np.int64),
                          np.diff(C.rowptr))
-        nmults = int((B.rowptr[A.colind + 1] - B.rowptr[A.colind]).sum()) \
+        nmults = _spgemm_nmults(A, B) \
             if type(A) is CsrMatrix and type(B) is CsrMatrix else -1
         return rows, C.colind.copy(), C.values.copy(), nmults
     if tier == "generic":
@@ -347,18 +374,27 @@ def spgemm(A: SparseFormat, B: SparseFormat,
     """C = A B with both operands sparse; the output's sparsity pattern
     is computed by the symbolic pass, then packed into ``out_format``.
 
-    ``out_format=None`` packs CSR (the row-major canonical triples drop
-    straight into its construction core).  ``out_format="auto"`` chooses
-    the output format from the *computed* structure's features
+    ``tier`` is as in :func:`spgemm_triples`.  ``out_format=None`` packs
+    CSR: the native tier's CSR arrays are the product as they are, any
+    other tier's row-major canonical triples drop straight into CSR's
+    construction core.  ``out_format="auto"`` chooses the output format
+    from the *computed* structure's features
     (:func:`repro.search.format_select.select_output_format`) — the
     selection axis where the winner is the output format, not an input's.
     Any other name packs that format (``format_kwargs`` forwarded, e.g.
     ``block_size`` for BSR); a format that rejects the computed structure
     falls back to CSR observably (``spgemm.output_fallbacks``)."""
     INSTR.count("spgemm.calls")
-    rows, cols, vals, _nmults = spgemm_triples(A, B, tier=tier)
+    tier = _resolve_spgemm_tier(A, B, tier)
     shape = (A.nrows, B.ncols)
-    if out_format is None or out_format == "csr":
+    csr_out = out_format is None or out_format == "csr"
+    if tier == "native" and csr_out:
+        parts = _spgemm_native_or_demote(A, B)
+        if parts is not None:
+            return CsrMatrix(*parts, shape)
+        tier = "vectorized"
+    rows, cols, vals, _nmults = spgemm_triples(A, B, tier=tier)
+    if csr_out:
         return CsrMatrix._from_canonical_coo(rows, cols, vals, shape)
     if out_format == "auto":
         from repro.search.format_select import select_output_format

@@ -80,16 +80,18 @@ Counter namespaces used by the compiler:
                           (``A^T A`` / ``A A^T``) construction phase
 - ``spgemm.*``          — sparse×sparse products: phase timers for the
                           two-pass tiers (``spgemm.symbolic`` /
-                          ``spgemm.numeric`` for the vectorized CSR
-                          path, ``spgemm.twopass`` for the specialized
-                          accumulator kernels, ``spgemm.enumerate`` for
-                          the generic any-pair route), call and tier
-                          counters (``spgemm.calls``,
-                          ``spgemm.tier.native`` / ``.vectorized`` /
+                          ``spgemm.numeric`` for the native and
+                          vectorized CSR paths, ``spgemm.twopass`` for
+                          the specialized accumulator kernels,
+                          ``spgemm.enumerate`` for the generic any-pair
+                          route), call and tier counters
+                          (``spgemm.calls``, ``spgemm.tier.native`` —
+                          the CSR×CSR default — / ``.vectorized`` /
                           ``.specialized`` / ``.generic``, plus
                           ``spgemm.tier.native_fallbacks`` when the
-                          native numeric kernel is unavailable and the
-                          call demotes to vectorized), output-format
+                          native kernel cannot be built and the call
+                          demotes to vectorized, which then ticks
+                          ``spgemm.tier.vectorized`` too), output-format
                           selections
                           (``spgemm.output_select``) and packing
                           fallbacks to CSR (``spgemm.output_fallbacks``)

@@ -1,10 +1,11 @@
 """Differential test wall around SpGEMM (the tentpole): the sparse×sparse
 product with *computed* output structure must match the dense
 ``blas/dense_ref.spgemm`` oracle over every format pair through the
-generic tier, and all three dispatch tiers (vectorized / specialized
-dense-accumulator / specialized hash-accumulator / generic) must be
-byte-for-byte identical on CSR×CSR — rowptr, colind and values arrays,
-not just the reconstructed dense matrix.
+generic tier, and every dispatch tier (native when a C toolchain is
+present / vectorized / specialized dense-accumulator / specialized
+hash-accumulator / generic) must be byte-for-byte identical on CSR×CSR —
+rowptr, colind and values arrays, not just the reconstructed dense
+matrix.
 
 Exactness: entries are integer-valued floats, so every product/sum is
 exact in binary floating point regardless of accumulation order — the
@@ -29,6 +30,7 @@ from repro.blas.api import spgemm, spgemm_triples
 from repro.formats import FORMATS
 from repro.formats.coo import CooMatrix
 from repro.formats.csr import CsrMatrix
+from repro.instrument import INSTR
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 
@@ -117,23 +119,51 @@ def _csr_pair(da, db):
     return CsrMatrix.from_dense(da), CsrMatrix.from_dense(db)
 
 
+def _have_cc():
+    from repro.core import backend as be
+
+    return be.find_compiler() is not None
+
+
+def _native_or_skip():
+    if not _have_cc():
+        pytest.skip("no C toolchain: the native tier demotes")
+
+
+def _csr_tiers():
+    """The CSR×CSR tiers the walls compare: native joins when it runs."""
+    return (("native",) if _have_cc() else ()) + (
+        "vectorized", "specialized", "generic")
+
+
+def _assert_same_csr(C, D):
+    for field in ("rowptr", "colind", "values"):
+        got = np.ascontiguousarray(getattr(C, field))
+        want = np.ascontiguousarray(getattr(D, field))
+        assert got.dtype == want.dtype, field
+        assert got.tobytes() == want.tobytes(), field
+
+
 @FAST
 @given(st.data())
 def test_spgemm_tiers_byte_identical(data):
-    """vectorized, specialized (dense and hash accumulator) and generic
-    produce identical canonical triples — and the same nmults where the
-    tier counts them."""
+    """native (with a toolchain), vectorized, specialized (dense and hash
+    accumulator) and generic produce identical canonical triples — and
+    the same nmults where the tier counts them; the native tier's packed
+    CSR arrays are the vectorized tier's bytes."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
     rv, cv, vv, nv = spgemm_triples(A, B, tier="vectorized")
-    rs, cs, vs, ns = spgemm_triples(A, B, tier="specialized")
-    rg, cg, vg, ng = spgemm_triples(A, B, tier="generic")
-    for r, c, v in ((rs, cs, vs), (rg, cg, vg)):
+    for tier in _csr_tiers():
+        r, c, v, nm = spgemm_triples(A, B, tier=tier)
         assert np.array_equal(rv, r)
         assert np.array_equal(cv, c)
         assert np.array_equal(vv, v)
-    assert nv == ns == ng
+        assert nm == nv
+    if _have_cc():
+        _assert_same_csr(spgemm(A, B, tier="native"),
+                         spgemm(A, B, tier="vectorized"))
     # the hash accumulator is a forced variant of the specialized kernel
     Cd = specialized.spgemm_csr_csr(A, B, accumulator="dense")
     Ch = specialized.spgemm_csr_csr(A, B, accumulator="hash")
@@ -145,10 +175,13 @@ def test_spgemm_tiers_byte_identical(data):
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
 
 
-@pytest.mark.parametrize("tier", ["vectorized", "specialized", "generic"])
+@pytest.mark.parametrize("tier", ["native", "vectorized", "specialized",
+                                  "generic"])
 @FAST
 @given(st.data())
 def test_spgemm_each_tier_matches_oracle(tier, data):
+    if tier == "native":
+        _native_or_skip()
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
@@ -169,10 +202,14 @@ def test_spgemm_rectangular_chain():
     db = np.where(rng.random((7, 3)) < 0.5,
                   rng.integers(-3, 4, (7, 3)), 0).astype(float)
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
+    Cv = spgemm(A, B, tier="vectorized")
+    nv = spgemm_triples(A, B, tier="vectorized")[3]
+    for tier in _csr_tiers():
         C = spgemm(A, B, tier=tier)
         assert C.shape == (4, 3)
         assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
+        _assert_same_csr(C, Cv)
+        assert spgemm_triples(A, B, tier=tier)[3] == nv
     # chain: (A B) B2 with B2 = B^T as a second sparse operand
     Bt = CsrMatrix.from_dense(db.T)
     D = spgemm(spgemm(A, B), Bt)
@@ -204,7 +241,7 @@ def test_spgemm_all_zero_rows_and_empty():
     db = np.zeros((4, 6))
     db[1, 5] = 3.0
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
+    for tier in _csr_tiers():
         C = spgemm(A, B, tier=tier)
         assert np.array_equal(C.to_dense(), da @ db)
     # entirely empty operand: zero stored entries, correct (5, 6) shape
@@ -223,13 +260,180 @@ def test_spgemm_cancellation_keeps_stored_zero():
     da = np.array([[1.0, 1.0], [0.0, 0.0]])
     db = np.array([[3.0, 0.0], [-3.0, 0.0]])
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
+    for tier in _csr_tiers():
         C = spgemm(A, B, tier=tier)
         assert C.nnz == 1                      # the cancelled slot
         assert C.values[0] == 0.0
         assert (C.colind[0], C.rowptr.tolist()) == (0, [0, 1, 1])
     Ch = specialized.spgemm_csr_csr(A, B, accumulator="hash")
     assert Ch.nnz == 1 and Ch.values[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# native tier: both column-ordering branches, and the default dispatch
+# ---------------------------------------------------------------------------
+
+def _encounter_product(n, rows):
+    """``A`` (len(rows) x K) and ``B`` (K x n) whose product row ``i``
+    meets the ``(column, value)`` pairs of ``rows[i]`` in exactly that
+    order: every inner index selects a one-entry row of B, and A's row i
+    walks its inner indices in ascending order."""
+    a_rows, b_cols, b_vals = [], [], []
+    for i, pairs in enumerate(rows):
+        for c, v in pairs:
+            a_rows.append(i)
+            b_cols.append(c)
+            b_vals.append(float(v))
+    k = len(b_cols)
+    inner = np.arange(k)
+    A = CsrMatrix.from_coo(np.array(a_rows, dtype=np.int64), inner,
+                           np.ones(k), (len(rows), k))
+    B = CsrMatrix.from_coo(inner, np.array(b_cols, dtype=np.int64),
+                           np.array(b_vals), (k, n))
+    return A, B
+
+
+def _takes_bitmap(cols):
+    """The native numeric pass's ordering rule for one output row."""
+    from repro.blas import spgemm_native
+
+    cols = set(cols)
+    k = len(cols)
+    words = (max(cols) >> 6) - (min(cols) >> 6) + 1
+    if k <= spgemm_native.SMALL_SORT:
+        return words <= k
+    return words <= spgemm_native.BITMAP_SPAN * k
+
+
+def test_spgemm_native_ordering_branches():
+    """One product whose rows reach both ordering branches of the native
+    numeric pass — a dense-ish row through the bitmap, a short and a long
+    wide row through the comparison sort (insertion and heapsort) — with
+    empty rows and a numerically cancelled slot, which stays a stored
+    zero.  Native output is the vectorized tier's bytes."""
+    _native_or_skip()
+    from repro.blas import spgemm_native
+
+    n = 64 * 200
+    dense_ish = [(c, c % 7 - 3) for c in range(100, 39, -1)]
+    short_wide = [(n - 1, 2), (0, -5)]
+    cancelled = [(70, 2), (5, 3), (5, -3)]
+    long_wide = [(300 * t, t - 20) for t in range(39, -1, -1)]
+    rows = [dense_ish, [], short_wide, cancelled, long_wide, []]
+    A, B = _encounter_product(n, rows)
+    assert _takes_bitmap(c for c, _ in dense_ish)
+    assert _takes_bitmap(c for c, _ in cancelled)
+    assert not _takes_bitmap(c for c, _ in short_wide)
+    assert not _takes_bitmap(c for c, _ in long_wide)
+    assert len(long_wide) > spgemm_native.SMALL_SORT    # heapsort, not
+    assert len(short_wide) <= spgemm_native.SMALL_SORT  # insertion sort
+
+    C = spgemm(A, B, tier="native")
+    _assert_same_csr(C, spgemm(A, B, tier="vectorized"))
+    assert (spgemm_triples(A, B, tier="native")[3]
+            == spgemm_triples(A, B, tier="vectorized")[3] == A.nnz)
+    assert np.array_equal(C.to_dense(),
+                          dense_ref.spgemm(A.to_dense(), B.to_dense()))
+    assert np.diff(C.rowptr).tolist() == [61, 0, 2, 2, 40, 0]
+    lo = int(C.rowptr[3])
+    assert C.colind[lo:lo + 2].tolist() == [5, 70]
+    assert C.values[lo] == 0.0 and not np.signbit(C.values[lo])
+
+
+def test_spgemm_native_long_rows_comparison_sort():
+    """A wide matrix whose long rows (4000 entries over 2**20 columns)
+    take the comparison sort, in orders that defeat short-gap shell
+    sorts — descending, sawtooth runs, organ pipe, random — must come out
+    sorted and byte-identical to the vectorized tier."""
+    _native_or_skip()
+    from repro.blas import spgemm_native
+
+    n, k, stride = 1 << 20, 4000, 262
+    cols = stride * np.arange(k)
+    perm = np.random.default_rng(3).permutation(k)
+    orders = [
+        cols[::-1],
+        np.concatenate([cols[t::301] for t in range(301)]),
+        np.concatenate([cols[0::2], cols[1::2][::-1]]),
+        cols[perm],
+        cols,
+    ]
+    rows = [[(int(c), 1 + (t % 5)) for t, c in enumerate(o)] for o in orders]
+    A, B = _encounter_product(n, rows)
+    for o in orders:
+        assert not _takes_bitmap(o) and len(o) > spgemm_native.SMALL_SORT
+    C = spgemm(A, B, tier="native")
+    _assert_same_csr(C, spgemm(A, B, tier="vectorized"))
+    assert np.array_equal(C.colind, np.tile(cols, len(orders)))
+
+
+class TestDefaultTier:
+    """``spgemm(A, B)`` on CSR×CSR runs the native tier when a toolchain
+    is present and demotes to the vectorized tier observably when not."""
+
+    def _operand(self):
+        from repro.formats import as_format
+        from repro.formats.generate import can_1072_like
+
+        return as_format(can_1072_like(n=120, target_nnz=900, seed=7), "csr")
+
+    def test_default_runs_native(self):
+        _native_or_skip()
+        A = self._operand()
+        native = INSTR.get("spgemm.tier.native")
+        vectorized = INSTR.get("spgemm.tier.vectorized")
+        C = spgemm(A, A)
+        assert INSTR.get("spgemm.tier.native") == native + 1
+        assert INSTR.get("spgemm.tier.vectorized") == vectorized
+        _assert_same_csr(C, spgemm(A, A, tier="vectorized"))
+
+    def test_default_demotes_without_toolchain(self, monkeypatch):
+        from repro.blas import spgemm_native
+        from repro.core import NativeBackendWarning
+        from repro.core import backend as be
+
+        A = self._operand()
+        want = spgemm(A, A, tier="vectorized")
+        monkeypatch.setenv("REPRO_CC", "none")
+        be.reset_toolchain_cache()
+        spgemm_native.reset_binding()
+        try:
+            fallbacks = INSTR.get("spgemm.tier.native_fallbacks")
+            vectorized = INSTR.get("spgemm.tier.vectorized")
+            native = INSTR.get("spgemm.tier.native")
+            with pytest.warns(NativeBackendWarning, match="spgemm"):
+                C = spgemm(A, A)
+            assert INSTR.get("spgemm.tier.native_fallbacks") == fallbacks + 1
+            assert INSTR.get("spgemm.tier.vectorized") == vectorized + 1
+            assert INSTR.get("spgemm.tier.native") == native
+            _assert_same_csr(C, want)
+            with pytest.warns(NativeBackendWarning):
+                rows, cols, vals, nmults = spgemm_triples(A, A)
+            rv, cv, vv, nv = spgemm_triples(A, A, tier="vectorized")
+            assert np.array_equal(rows, rv) and np.array_equal(cols, cv)
+            assert vals.tobytes() == vv.tobytes() and nmults == nv
+        finally:
+            monkeypatch.delenv("REPRO_CC", raising=False)
+            be.reset_toolchain_cache()
+            spgemm_native.reset_binding()
+
+    def test_solver_context_normal_matches_vectorized(self):
+        """``SolverContext.normal`` calls the default ``spgemm``: its
+        product is the vectorized tier's bytes."""
+        import warnings
+
+        from repro.core import NativeBackendWarning
+        from repro.solvers.context import SolverContext
+
+        A = self._operand()
+        ctx = SolverContext(A, ops=("mvm",), backend="python",
+                            register=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            ata = ctx.normal("ata")
+        rows, cols, vals = A.to_coo_arrays()
+        At = CsrMatrix.from_coo(cols, rows, vals, (A.ncols, A.nrows))
+        _assert_same_csr(ata, spgemm(At, A, tier="vectorized"))
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -440,7 +644,7 @@ def test_spgemm_deep_budget(data):
     A, B = _csr_pair(da, db)
     ref = dense_ref.spgemm(da, db)
     rv, cv, vv, _ = spgemm_triples(A, B, tier="vectorized")
-    for tier in ("specialized", "generic"):
+    for tier in _csr_tiers():
         r, c, v, _ = spgemm_triples(A, B, tier=tier)
         assert np.array_equal(rv, r)
         assert np.array_equal(cv, c)
